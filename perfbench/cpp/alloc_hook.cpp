@@ -1,0 +1,68 @@
+// Replacement global operator new/delete that count heap allocations.
+// Linked only into the benchmark executable, so the program's own
+// binaries and tests keep the standard allocator.
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "measure.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  // aligned_alloc needs a size that is a multiple of the alignment.
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
+}
+
+}  // namespace
+
+namespace perfbench {
+
+AllocCounts alloc_counts() noexcept {
+  return {g_allocs.load(std::memory_order_relaxed), g_bytes.load(std::memory_order_relaxed)};
+}
+
+}  // namespace perfbench
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
