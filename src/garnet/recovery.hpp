@@ -1,11 +1,10 @@
 // Service-agnostic crash recovery: checkpoints + replicated op-log.
 //
-// Generalises the FilteringFailover experiment (garnet/failover.hpp) into
-// the harness the paper's presumption of "service-level ... replication
-// ... for efficiency, data-integrity, and fault-tolerance" (§3) demands
-// for *every* stateful service. Each managed service registers four
-// hooks — capture, restore, wipe, and (optionally) apply_op/on_restart —
-// and the harness does the rest:
+// Garnet's one recovery mechanism: the harness the paper's presumption
+// of "service-level ... replication ... for efficiency, data-integrity,
+// and fault-tolerance" (§3) demands for *every* stateful service. Each
+// managed service registers four hooks — capture, restore, wipe, and
+// (optionally) apply_op/on_restart — and the harness does the rest:
 //
 //   * On a checkpoint cadence, the primary's state is captured into a
 //     core/checkpoint frame and replicated to a standby endpoint over
@@ -28,6 +27,10 @@
 //     back up, and run the service's on_restart hook (e.g. dispatch
 //     replays stashed deliveries; location re-learns receiver layout).
 //     A scheduled restart does the same immediately (rejoin).
+//
+// Liveness is crash-stop: the watchdog reads the harness's own crashed
+// flag, never a network probe, so a partition cannot promote a service
+// that is still running (that would be split-brain).
 //
 // Replication rides the same bus as everything else, so checkpoints and
 // ops are subject to the configured latency — a standby is always a

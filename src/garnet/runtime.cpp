@@ -81,13 +81,6 @@ Runtime::Runtime(Config config)
   if (config_.recovery.enabled) {
     recovery_ = std::make_unique<RecoveryHarness>(scheduler_, bus_, config_.recovery);
   }
-  if (config_.shard_plane_enabled || config_.shard_plane.shards > 1) {
-    ShardPlaneConfig plane = config_.shard_plane;
-    if (plane.shards == 0) plane.shards = 1;
-    shard_plane_ = std::make_unique<ShardedDispatchPlane>(plane);
-    shard_plane_->set_metrics(telemetry_.registry);
-    if (recovery_ != nullptr) shard_plane_->register_recovery(*recovery_);
-  }
   wire_services();
 }
 

@@ -9,9 +9,10 @@
 //                  [--interval MS] [--speed X] [--duration S] [--quiet]
 //
 // Ports default to 7070/7071/7072; pass 0 for an ephemeral port (the
-// bound port is printed either way). --sensors 0 disables the embedded
-// field, leaving only externally ingested traffic. --duration 0 runs
-// until interrupted.
+// bound ports are printed, and flushed, at start-up either way). A port
+// that is not a decimal number up to 65535 is a usage error (exit 2).
+// --sensors 0 disables the embedded field, leaving only externally
+// ingested traffic. --duration 0 runs until interrupted.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,16 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Decimal digits only, at most 65535 (0 = ephemeral).
+bool parse_port(const char* text, std::uint16_t& out) {
+  if (*text < '0' || *text > '9') return false;  // empty, sign or space
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text, &end, 10);
+  if (*end != '\0' || value > 65535) return false;
+  out = static_cast<std::uint16_t>(value);
+  return true;
+}
+
 bool parse_options(int argc, char** argv, Options& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -54,11 +65,11 @@ bool parse_options(int argc, char** argv, Options& out) {
     if (arg == "--quiet") {
       out.quiet = true;
     } else if (arg == "--ingest" && has_value) {
-      out.ingest_port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_port(argv[++i], out.ingest_port)) return false;
     } else if (arg == "--stream" && has_value) {
-      out.stream_port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_port(argv[++i], out.stream_port)) return false;
     } else if (arg == "--cache" && has_value) {
-      out.cache_port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_port(argv[++i], out.cache_port)) return false;
     } else if (arg == "--sensors" && has_value) {
       out.sensors = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--interval" && has_value) {
@@ -110,6 +121,9 @@ int main(int argc, char** argv) {
     std::printf("    gw_client sub '*' --port %u\n", transport.port(gw::Listener::kStream));
     std::printf("    gw_client get 1/0 --port %u\n\n", transport.port(gw::Listener::kCache));
   }
+  // A supervisor reading a pipe must learn the ephemeral ports now, not
+  // when the block buffer fills or the daemon exits.
+  std::fflush(stdout);
 
   sim::RealtimeDriver driver(runtime.scheduler(), opt.speed);
   const auto wall_start = std::chrono::steady_clock::now();

@@ -3,16 +3,25 @@
 // nonblocking client file descriptors. The loopback-transport suite
 // proves the state machine; this one proves it against an actual
 // kernel boundary — accept backlogs, coalesced reads, short writes,
-// RST on close, and flow control via SO_RCVBUF.
+// RST on close, and flow control via SO_RCVBUF. The last case runs the
+// shipped garnet-gw daemon itself: its banner must reach a pipe at
+// start-up, and a bad port argument must be a usage error.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -350,6 +359,80 @@ TEST(GatewaySockets, CacheServesLatestAcrossReconnect) {
   ASSERT_TRUE(second.connect(h.port(Listener::kCache)));
   EXPECT_EQ(get(second).rfind("VALUE 9/1 3 ", 0), 0u);
   EXPECT_EQ(h.gateway->cache().peek({9, 1})->sequence, 3u);
+}
+
+/// Starts garnet-gw with `args`, its stdout on the write end of `out_fd`
+/// (or /dev/null when -1) and its stderr on /dev/null.
+pid_t spawn_daemon(std::vector<std::string> args, int out_fd) {
+  args.insert(args.begin(), GARNET_GW_BINARY);
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  if (out_fd >= 0) {
+    posix_spawn_file_actions_adddup2(&actions, out_fd, STDOUT_FILENO);
+  } else {
+    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null", O_WRONLY, 0);
+  }
+  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, "/dev/null", O_WRONLY, 0);
+  pid_t pid = -1;
+  if (posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ) != 0) pid = -1;
+  posix_spawn_file_actions_destroy(&actions);
+  return pid;
+}
+
+int exit_code(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(GatewayDaemon, BannerReachesAPipeAtStartupAndBadPortsExitTwo) {
+  // A supervisor reading the daemon's stdout through a pipe learns the
+  // ephemeral ports within 2 s of start-up, long before --duration ends.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const pid_t daemon =
+      spawn_daemon({"--ingest", "0", "--stream", "0", "--cache", "0", "--sensors", "0", "--quiet",
+                    "--duration", "5"},
+                   pipe_fds[1]);
+  ::close(pipe_fds[1]);
+  ASSERT_GT(daemon, 0);
+
+  std::string banner;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (banner.find('\n') == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd readable{pipe_fds[0], POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&readable, 1, static_cast<int>(left.count())) <= 0) break;
+    char chunk[256];
+    const ssize_t n = ::read(pipe_fds[0], chunk, sizeof chunk);
+    if (n <= 0) break;
+    banner.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::kill(daemon, SIGTERM);
+  ::waitpid(daemon, nullptr, 0);
+  ::close(pipe_fds[0]);
+
+  for (const char* listener : {"ingest :", "stream :", "cache :"}) {
+    const std::size_t at = banner.find(listener);
+    ASSERT_NE(at, std::string::npos) << "banner so far: '" << banner << "'";
+    const unsigned long port =
+        std::strtoul(banner.c_str() + at + std::strlen(listener), nullptr, 10);
+    EXPECT_GT(port, 0u) << listener;  // the bound ephemeral port, not the 0 asked for
+    EXPECT_LE(port, 65535u) << listener;
+  }
+
+  // A port that does not fit, or is not a number, is a usage error
+  // instead of a silent bind to some other port.
+  for (const char* bad : {"70000", "abc", "-1", ""}) {
+    const pid_t pid =
+        spawn_daemon({"--ingest", bad, "--sensors", "0", "--quiet", "--duration", "1"}, -1);
+    ASSERT_GT(pid, 0);
+    EXPECT_EQ(exit_code(pid), 2) << "--ingest '" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -8,15 +8,19 @@
 //     handlers execute exactly once and deduped == retries exactly.
 //   * Two runs from the same seed produce byte-identical fault journals
 //     and identical garnet.bus.faults / garnet.rpc.* telemetry.
-//   * A partition between the filtering watchdog and primary promotes
-//     the hot standby; its dedup state holds after the partition heals.
+//   * A partition never promotes a live service (recovery liveness is
+//     crash-stop); the replica re-anchors after the heal, and a later
+//     promotion still leaks no duplicates.
+//   * A data flood saturating the recovery replica's bounded inbox
+//     sheds no checkpoint or op-log record, so a promotion mid-flood
+//     restores exact dedup state.
 //   * An unreachable Resource Manager degrades actuation to an explicit
 //     denial instead of a silent stall.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 
-#include "garnet/failover.hpp"
 #include "garnet/runtime.hpp"
 #include "net/rpc.hpp"
 #include "obs/metrics.hpp"
@@ -199,127 +203,167 @@ TEST(Chaos, RuntimeChaosRunsAreReplayable) {
   EXPECT_GT(first[0], 0u);
 }
 
-TEST(Chaos, PartitionPromotesFailoverAndDedupHoldsAfterHeal) {
-  sim::Scheduler scheduler;
-  net::MessageBus::Config config;
-  {
-    net::FaultPlan::PartitionSpec partition;
-    partition.name = "watchdog-cut";
-    partition.members = {FilteringFailover::kWatchdogEndpointName};
-    partition.opens_at = SimTime{} + Duration::millis(500);
-    partition.heals_at = SimTime{} + Duration::millis(1500);
-    config.faults.partitions.push_back(partition);
-  }
-  net::MessageBus bus(scheduler, config);
+/// A lossless radio, and the recovery harness at 100ms heartbeats and a
+/// 250ms checkpoint cadence.
+Runtime::Config radio_recovery_config() {
+  Runtime::Config config;
+  config.field.radio.base_loss = 0.0;
+  config.field.radio.edge_loss = 0.0;
+  config.recovery.enabled = true;
+  config.recovery.heartbeat_interval = Duration::millis(100);
+  config.recovery.miss_threshold = 3;
+  config.recovery.checkpoint_interval = Duration::millis(250);
+  return config;
+}
 
-  FilteringFailover::Config failover_config;
-  failover_config.mode = FilteringFailover::Mode::kHot;
-  failover_config.heartbeat_interval = Duration::millis(100);
-  failover_config.miss_threshold = 3;
-  obs::MetricsRegistry registry;
-  FilteringFailover failover(scheduler, bus, failover_config);
-  failover.set_metrics(registry);
-
-  std::multiset<core::SequenceNo> delivered;
-  failover.set_message_sink(
-      [&](const core::DataMessage& m, SimTime) { delivered.insert(m.sequence); });
-
-  const auto report = [](core::SequenceNo seq, wireless::ReceiverId receiver) {
+/// Schedules `frames` radio frames at 100Hz from t=100ms, each heard a
+/// second time `late` after the first (a slow relay path).
+void schedule_late_copy_traffic(Runtime& runtime, core::SequenceNo frames, Duration late) {
+  for (core::SequenceNo seq = 0; seq < frames; ++seq) {
     core::DataMessage msg;
     msg.stream_id = {1, 0};
     msg.sequence = seq;
     msg.payload = util::to_bytes("x");
-    return wireless::ReceptionReport{receiver, -40.0, SimTime{}, core::encode(msg)};
-  };
-
-  // Healthy phase: pings flow, traffic is deduplicated by the primary.
-  for (core::SequenceNo seq = 0; seq < 5; ++seq) failover.ingest(report(seq, 1));
-  scheduler.run_until(SimTime{} + Duration::millis(450));
-  EXPECT_FALSE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.misses"), 0u);
-
-  // Partition opens at 500ms: the watchdog's pings stop arriving even
-  // though the primary never crashed; the standby must be promoted.
-  scheduler.run_until(SimTime{} + Duration::millis(1400));
-  EXPECT_TRUE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.failovers"), 1u);
-  EXPECT_GT(bus.fault_injector()->counters().partitioned, 0u);
-
-  // After the heal, late radio copies of the pre-partition messages
-  // arrive: the hot standby's shadowed dedup state still holds.
-  scheduler.run_until(SimTime{} + Duration::millis(2000));
-  for (core::SequenceNo seq = 0; seq < 5; ++seq) failover.ingest(report(seq, 2));
-  for (core::SequenceNo seq = 0; seq < 5; ++seq) {
-    EXPECT_EQ(delivered.count(seq), 1u) << "sequence " << seq << " re-delivered after heal";
+    const SimTime at = SimTime{} + Duration::millis(100 + 10 * seq);
+    for (const SimTime when : {at, at + late}) {
+      runtime.scheduler().schedule_at(when, [&runtime, frame = core::encode(msg)] {
+        runtime.field().medium().uplink({500, 500}, frame);
+      });
+    }
   }
-  failover.ingest(report(100, 1));
-  EXPECT_EQ(delivered.count(100), 1u);  // fresh traffic flows post-heal
 }
 
-TEST(Chaos, FailoverDetectsDeadPrimaryThroughSaturatedWatchdogInbox) {
-  // Combined partition + overload chaos: the watchdog's bounded inbox is
-  // kept saturated by a data-plane flood for the whole run, and the
-  // primary is islanded by a FaultPlan partition mid-flood. Liveness
-  // traffic (ping responses) is control-plane, so it displaces flood
-  // data instead of being shed — before the cut the flood must not
-  // cause a false promotion, and once the partition opens the missed
-  // pings still promote the standby on schedule.
-  sim::Scheduler scheduler;
-  net::MessageBus::Config config;
-  {
-    net::InboxConfig inbox;
-    inbox.capacity = 4;
-    inbox.policy = net::OverflowPolicy::kDropOldest;
-    inbox.service_time = Duration::millis(1);
-    config.inboxes[FilteringFailover::kWatchdogEndpointName] = inbox;
-  }
+TEST(Chaos, PartitionDoesNotPromoteAndReplicaResyncsAfterHeal) {
+  // The replica is cut off from t=0.5s to t=1.5s: checkpoints and op-log
+  // records die in the partition, but the watchdog reads crash-stop
+  // liveness, not the network, so nothing is promoted. After the heal
+  // the next checkpoint re-anchors the replica, and a real crash at
+  // t=2s promotes from it without a single duplicate.
+  Runtime::Config config = radio_recovery_config();
   {
     net::FaultPlan::PartitionSpec partition;
-    partition.name = "primary-island";
-    partition.members = {FilteringFailover::kPrimaryEndpointName};
-    partition.opens_at = SimTime{} + Duration::millis(1000);
+    partition.name = "replica-cut";
+    partition.members = {RecoveryHarness::kReplicaEndpointName};
+    partition.opens_at = SimTime{} + Duration::millis(500);
+    partition.heals_at = SimTime{} + Duration::millis(1500);
     config.faults.partitions.push_back(partition);
   }
-  net::MessageBus bus(scheduler, config);
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "filtering";
+    crash.at = SimTime{} + Duration::seconds(2);
+    config.faults.crashes.push_back(crash);
+  }
+  Runtime runtime(config);
+  runtime.deploy_receivers(1, 5000);
+  core::Consumer consumer(runtime.bus(), "consumer.chaos");
+  runtime.provision(consumer, "chaos");
+  consumer.subscribe(core::StreamPattern::everything());
+  std::map<core::SequenceNo, int> delivered;
+  consumer.set_data_handler([&](const core::DeliveryView& d) { ++delivered[d.message.sequence]; });
+  schedule_late_copy_traffic(runtime, 250, Duration::millis(500));
 
-  FilteringFailover::Config failover_config;
-  failover_config.mode = FilteringFailover::Mode::kHot;
-  failover_config.heartbeat_interval = Duration::millis(100);
-  failover_config.miss_threshold = 3;
-  obs::MetricsRegistry registry;
-  FilteringFailover failover(scheduler, bus, failover_config);
-  failover.set_metrics(registry);
+  const auto stored = [&] {
+    return runtime.telemetry().registry.snapshot().counter("garnet.checkpoint.stored");
+  };
+  runtime.run_for(Duration::millis(600));  // cut at 0.5s
+  const std::uint64_t stored_at_cut = stored();
+  runtime.run_for(Duration::millis(850));  // t=1.45s, still cut
+  EXPECT_EQ(stored(), stored_at_cut);      // the partition ate the 0.75/1.0/1.25s frames
+  runtime.run_for(Duration::millis(450));  // t=1.9s, healed at 1.5s
+  EXPECT_GT(stored(), stored_at_cut);      // the 1.75s frames re-anchored the replica
 
-  // Data-plane flood aimed at the watchdog endpoint, refreshed faster
-  // than its inbox drains so the queue stays pinned at capacity.
+  const obs::MetricsSnapshot healed = runtime.telemetry().registry.snapshot();
+  EXPECT_GT(healed.counter("garnet.bus.faults", {{"kind", "partition"}}), 0u);
+  EXPECT_EQ(healed.counter("garnet.recovery.promotions"), 0u);
+  EXPECT_EQ(healed.counter("garnet.recovery.crashes"), 0u);
+
+  runtime.run_for(Duration::seconds(2));
+  const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+  EXPECT_EQ(snap.counter("garnet.recovery.promotions"), 1u);
+  EXPECT_EQ(delivered.size(), 250u);
+  for (const auto& [seq, count] : delivered) EXPECT_EQ(count, 1) << "sequence " << seq;
+}
+
+TEST(Chaos, PromotionRestoresThroughSaturatedReplicaInbox) {
+  // Combined overload + crash chaos: the recovery replica's bounded
+  // inbox is kept saturated by a data-plane flood for the whole run,
+  // and filtering is crash-stopped mid-flood. Checkpoints and op-log
+  // records are control class, so they displace flood data instead of
+  // being shed: every one lands, and the promotion restores dedup state
+  // that lets no late radio copy through twice.
+  Runtime::Config config = radio_recovery_config();
+  {
+    // Room for one checkpoint burst (the four managed services post
+    // their frames on the same tick) plus op-log records in flight. A
+    // smaller inbox overflows with control traffic alone, and an
+    // all-control inbox sheds control by the bus's contract.
+    net::InboxConfig inbox;
+    inbox.capacity = 8;
+    inbox.policy = net::OverflowPolicy::kDropOldest;
+    inbox.service_time = Duration::millis(1);
+    config.overload.inboxes[RecoveryHarness::kReplicaEndpointName] = inbox;
+  }
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "filtering";
+    crash.at = SimTime{} + Duration::seconds(1);
+    config.faults.crashes.push_back(crash);
+  }
+  Runtime runtime(config);
+  runtime.deploy_receivers(1, 5000);
+  core::Consumer consumer(runtime.bus(), "consumer.chaos");
+  runtime.provision(consumer, "chaos");
+  consumer.subscribe(core::StreamPattern::everything());
+  std::map<core::SequenceNo, int> delivered;
+  consumer.set_data_handler([&](const core::DeliveryView& d) { ++delivered[d.message.sequence]; });
+  schedule_late_copy_traffic(runtime, 150, Duration::millis(500));
+
+  // Data-plane flood aimed at the replica, refreshed faster than its
+  // inbox drains so the queue stays pinned at capacity.
+  net::MessageBus& bus = runtime.bus();
+  sim::Scheduler& scheduler = runtime.scheduler();
   const net::Address flooder = bus.add_endpoint("chaos.flooder", [](net::Envelope) {});
-  const auto watchdog = bus.lookup(FilteringFailover::kWatchdogEndpointName);
-  ASSERT_TRUE(watchdog.has_value());
+  const auto replica = bus.lookup(RecoveryHarness::kReplicaEndpointName);
+  ASSERT_TRUE(replica.has_value());
   std::function<void()> flood = [&] {
     for (int i = 0; i < 8; ++i) {
-      bus.post(flooder, *watchdog, net::app_type(0), util::SharedBytes{util::to_bytes("junk")});
+      bus.post(flooder, *replica, net::app_type(0), util::SharedBytes{util::to_bytes("junk")});
     }
-    if (scheduler.now() < SimTime{} + Duration::millis(1900)) {
+    if (scheduler.now() < SimTime{} + Duration::millis(2900)) {
       scheduler.schedule_after(Duration::millis(2), flood);
     }
   };
   flood();
 
-  // Healthy primary + saturated watchdog inbox: no false promotion.
-  scheduler.run_until(SimTime{} + Duration::millis(1000));
-  EXPECT_FALSE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.misses"), 0u);
+  // Healthy filtering + saturated replica inbox: no false promotion.
+  runtime.run_for(Duration::millis(990));
+  EXPECT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.recovery.promotions"), 0u);
   EXPECT_GT(bus.shed_stats().data_total(), 0u);  // the flood really overflowed
 
-  // At t=1s the partition islands the primary mid-flood: detection must
-  // land within the usual heartbeat_interval * miss_threshold budget
-  // despite the saturation.
-  scheduler.run_until(SimTime{} + Duration::millis(1600));
-  EXPECT_TRUE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.failovers"), 1u);
+  // The crash at t=1s is detected within heartbeat_interval *
+  // miss_threshold despite the saturation; traffic (late copies
+  // included) ends by t=2.1s, the flood runs on to t=2.9s.
+  runtime.run_for(Duration::millis(1610));
+  const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+  EXPECT_EQ(snap.counter("garnet.recovery.promotions"), 1u);
+  EXPECT_LE(snap.gauge("garnet.recovery.latency_ns"),
+            static_cast<double>(Duration::millis(300).ns));
 
+  // Every checkpoint and op-log record reached the replica mid-flood.
+  EXPECT_GT(snap.counter("garnet.checkpoint.taken"), 0u);
+  EXPECT_EQ(snap.counter("garnet.checkpoint.stored"), snap.counter("garnet.checkpoint.taken"));
+  EXPECT_EQ(snap.counter("garnet.checkpoint.rejected"), 0u);
+  EXPECT_GT(snap.counter("garnet.recovery.ops_logged"), 0u);
+  EXPECT_EQ(snap.counter("garnet.recovery.ops_replicated"),
+            snap.counter("garnet.recovery.ops_logged"));
   // The structural invariant: only data-plane traffic was shed.
   EXPECT_EQ(bus.shed_stats().control_total(), 0u);
+
+  // The promotion restored exact dedup state: no frame twice, and every
+  // frame lost in the detection window arrived by its late copy.
+  EXPECT_EQ(delivered.size(), 150u);
+  for (const auto& [seq, count] : delivered) EXPECT_EQ(count, 1) << "sequence " << seq;
 }
 
 TEST(Chaos, UnreachableResourceManagerDegradesToDenial) {

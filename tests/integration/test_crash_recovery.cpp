@@ -11,6 +11,12 @@
 //     duplicate deliveries and all four services recovered.
 //   * Two runs from the same seed produce byte-identical fault and
 //     shed journals and identical recovery telemetry.
+//   * Filtering failover (FailoverFixture): over the radio path, the
+//     watchdog promotes a crashed filtering within heartbeat x
+//     miss_threshold, the promoted replica's dedup state (checkpoint +
+//     op-log tail) keeps late radio copies of already-delivered frames
+//     from leaking as duplicates, and frames lost in the detection
+//     window still arrive by their late copies.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -297,6 +303,215 @@ TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
   EXPECT_EQ(snap.counter("garnet.recovery.inputs_lost"), 2u);
   EXPECT_EQ(snap.counter("garnet.recovery.service_inputs_lost", {{"service", "filtering"}}), 2u);
   EXPECT_FALSE(runtime.recovery()->crashed("filtering"));
+}
+
+// --- Filtering failover over the radio path ---------------------------------
+// Frames enter through the radio medium, so the runtime's crash accounting
+// applies: a copy heard while filtering is down is a lost input. A second
+// uplink of the same frame is a late radio copy (a slow relay path).
+
+struct FailoverFixture : ::testing::Test {
+  static Runtime::Config config() {
+    Runtime::Config c;
+    c.field.radio.base_loss = 0.0;  // every uplink frame is heard
+    c.field.radio.edge_loss = 0.0;
+    c.recovery.enabled = true;
+    c.recovery.heartbeat_interval = Duration::millis(100);
+    c.recovery.miss_threshold = 3;
+    c.recovery.checkpoint_interval = Duration::millis(250);
+    return c;
+  }
+
+  Runtime runtime{config()};
+  core::Consumer consumer{runtime.bus(), "consumer.archive"};
+  DeliveryLedger ledger;
+
+  void SetUp() override {
+    runtime.deploy_receivers(1, 5000);  // one receiver covering the field
+    runtime.provision(consumer, "archive");
+    consumer.subscribe(core::StreamPattern::everything());
+    ledger.attach(consumer);
+    runtime.run_for(Duration::millis(20));
+  }
+
+  /// Transmits frames [first, last] once each; delivery takes a few ms.
+  void send(core::SequenceNo first, core::SequenceNo last) {
+    for (core::SequenceNo seq = first; seq <= last; ++seq) {
+      core::DataMessage msg;
+      msg.stream_id = {1, 0};
+      msg.sequence = seq;
+      msg.payload = util::to_bytes("x");
+      runtime.field().medium().uplink({500, 500}, core::encode(msg));
+    }
+  }
+
+  /// Times frame `seq` reached the consumer.
+  [[nodiscard]] int delivered(core::SequenceNo seq) const {
+    const auto it = ledger.counts.find({core::StreamId{1, 0}.packed(), seq});
+    return it == ledger.counts.end() ? 0 : it->second;
+  }
+
+  void crash() { runtime.recovery()->crash("filtering"); }
+  [[nodiscard]] bool promoted() { return counter("garnet.recovery.promotions") == 1; }
+  std::uint64_t counter(const char* name) {
+    return runtime.telemetry().registry.snapshot().counter(name);
+  }
+  double gauge(const char* name) { return runtime.telemetry().registry.snapshot().gauge(name); }
+};
+
+TEST_F(FailoverFixture, NormalOperationForwardsPrimaryOnly) {
+  // Every frame is heard twice; filtering forwards each exactly once.
+  send(0, 9);
+  send(0, 9);
+  runtime.run_for(Duration::millis(50));
+  EXPECT_EQ(ledger.distinct(), 10u);
+  EXPECT_EQ(ledger.max_count(), 1);
+  EXPECT_EQ(counter("garnet.filtering.messages_out"), 10u);
+  EXPECT_EQ(counter("garnet.recovery.promotions"), 0u);
+}
+
+TEST_F(FailoverFixture, WatchdogPromotesWithinDetectionBudget) {
+  runtime.run_for(Duration::seconds(1));
+  EXPECT_EQ(counter("garnet.recovery.promotions"), 0u);
+
+  crash();
+  runtime.run_for(Duration::seconds(1));
+  EXPECT_FALSE(runtime.recovery()->crashed("filtering"));
+  EXPECT_EQ(counter("garnet.recovery.promotions"), 1u);
+  EXPECT_EQ(counter("garnet.recovery.rejoins"), 0u);
+  // 3 misses at 100ms heartbeat: detection within (2..3] beats.
+  EXPECT_LE(gauge("garnet.recovery.latency_ns"), static_cast<double>(Duration::millis(300).ns));
+  EXPECT_GE(gauge("garnet.recovery.latency_ns"), static_cast<double>(Duration::millis(200).ns));
+}
+
+TEST_F(FailoverFixture, PromotionPreservesDedupAcrossFailover) {
+  // The A3 scenario in miniature: 100Hz traffic whose every frame is
+  // heard again 2s later, filtering crash-stopped at t=2s with no
+  // restart. Late copies of frames delivered before the crash straddle
+  // the outage; the promoted replica must recognise every one.
+  sim::Scheduler& scheduler = runtime.scheduler();
+  for (core::SequenceNo seq = 0; seq < 300; ++seq) {
+    const SimTime at = SimTime{} + Duration::millis(100 + 10 * seq);
+    for (const SimTime when : {at, at + Duration::seconds(2)}) {
+      scheduler.schedule_at(when, [this, seq] { send(seq, seq); });
+    }
+  }
+  scheduler.schedule_at(SimTime{} + Duration::seconds(2), [this] { crash(); });
+  runtime.run_for(Duration::seconds(6));
+
+  ASSERT_TRUE(promoted());
+  EXPECT_GT(counter("garnet.recovery.inputs_lost"), 0u);
+  // No duplicates through the promotion...
+  EXPECT_EQ(ledger.max_count(), 1);
+  // ...and nothing missing: each frame lost in the detection window
+  // arrived by its late copy.
+  EXPECT_EQ(ledger.distinct(), 300u);
+}
+
+TEST_F(FailoverFixture, ColdStandbySeededFromOpLogDeliversNoDuplicates) {
+  // Crash before the first checkpoint cadence: the promoted replica's
+  // dedup state is pure op-log replay from boot.
+  send(0, 4);
+  runtime.run_for(Duration::millis(10));
+  crash();
+  runtime.run_for(Duration::seconds(1));
+  ASSERT_TRUE(promoted());
+  EXPECT_EQ(counter("garnet.recovery.ops_replayed"), 5u);
+
+  // Late radio copies of the same frames arrive after the promotion:
+  // the seeded replica recognises every one.
+  send(0, 4);
+  send(100, 100);  // and new traffic flows through the promoted replica
+  runtime.run_for(Duration::millis(50));
+  for (core::SequenceNo seq = 0; seq < 5; ++seq) EXPECT_EQ(delivered(seq), 1) << seq;
+  EXPECT_EQ(delivered(100), 1);
+}
+
+TEST_F(FailoverFixture, ColdStandbySeededFromCheckpointPlusTail) {
+  // Let a checkpoint land, then forward more frames past it: the
+  // promotion must combine the snapshot with the op-log tail since its
+  // watermark.
+  send(0, 4);
+  runtime.run_for(Duration::millis(300));  // the 250ms cadence fires
+  EXPECT_GE(counter("garnet.checkpoint.stored"), 1u);
+  send(5, 7);
+  runtime.run_for(Duration::millis(20));
+
+  crash();
+  runtime.run_for(Duration::seconds(1));
+  ASSERT_TRUE(promoted());
+  // Only the post-checkpoint tail (5..7) needed replaying.
+  EXPECT_EQ(counter("garnet.recovery.ops_replayed"), 3u);
+
+  send(0, 7);
+  runtime.run_for(Duration::millis(50));
+  for (core::SequenceNo seq = 0; seq < 8; ++seq) EXPECT_EQ(delivered(seq), 1) << seq;
+}
+
+TEST_F(FailoverFixture, DetectionWindowLossIsCounted) {
+  crash();
+  // Copies heard while filtering is down are lost and accounted.
+  send(0, 6);
+  runtime.run_for(Duration::millis(50));
+  EXPECT_EQ(ledger.distinct(), 0u);
+  EXPECT_EQ(counter("garnet.recovery.inputs_lost"), 7u);
+
+  runtime.run_for(Duration::seconds(1));
+  ASSERT_TRUE(promoted());
+  // Nobody saw those frames, so their late copies are new to the
+  // promoted replica: each is delivered, once.
+  send(0, 6);
+  send(50, 50);
+  runtime.run_for(Duration::millis(50));
+  for (core::SequenceNo seq = 0; seq < 7; ++seq) EXPECT_EQ(delivered(seq), 1) << seq;
+  EXPECT_EQ(delivered(50), 1);
+}
+
+TEST_F(FailoverFixture, NoSpontaneousFailover) {
+  // 60s of 10Hz traffic, each frame heard twice: every frame forwarded
+  // once, and the watchdog never promotes a healthy filtering.
+  sim::Scheduler& scheduler = runtime.scheduler();
+  for (core::SequenceNo seq = 0; seq < 600; ++seq) {
+    scheduler.schedule_at(SimTime{} + Duration::millis(100 * (seq + 1)), [this, seq] {
+      send(seq, seq);
+      send(seq, seq);
+    });
+  }
+  runtime.run_for(Duration::seconds(60));
+  EXPECT_EQ(ledger.distinct(), 600u);
+  EXPECT_EQ(ledger.max_count(), 1);
+  EXPECT_EQ(counter("garnet.recovery.crashes"), 0u);
+  EXPECT_EQ(counter("garnet.recovery.promotions"), 0u);
+  EXPECT_EQ(counter("garnet.recovery.inputs_lost"), 0u);
+  // The harness ran all along: four services checkpoint every 250ms.
+  EXPECT_GT(counter("garnet.checkpoint.taken"), 900u);
+}
+
+TEST_F(FailoverFixture, KillIsIdempotent) {
+  // A second crash of a service that is already down is a no-op: it
+  // neither counts nor restarts the watchdog's miss count, so the
+  // promotion still lands within 3 beats of the first crash.
+  crash();
+  runtime.run_for(Duration::millis(150));
+  crash();
+  runtime.run_for(Duration::seconds(1));
+  EXPECT_EQ(counter("garnet.recovery.crashes"), 1u);
+  EXPECT_EQ(counter("garnet.recovery.promotions"), 1u);
+  EXPECT_LE(gauge("garnet.recovery.latency_ns"), static_cast<double>(Duration::millis(300).ns));
+}
+
+TEST_F(FailoverFixture, ReceptionEventsFollowActiveReplica) {
+  send(0, 0);
+  runtime.run_for(Duration::millis(50));
+  EXPECT_EQ(counter("garnet.location.observations"), 1u);
+
+  crash();
+  runtime.run_for(Duration::seconds(1));
+  ASSERT_TRUE(promoted());
+  // Location keeps receiving reception events from the promoted replica.
+  send(1, 1);
+  runtime.run_for(Duration::millis(50));
+  EXPECT_EQ(counter("garnet.location.observations"), 2u);
 }
 
 }  // namespace

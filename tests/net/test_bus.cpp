@@ -147,8 +147,8 @@ TEST(BusFaultAliasing, InjectedDuplicateSharesTheBufferNotACopy) {
   sim::Scheduler scheduler;
   MessageBus::Config config;
   config.faults.links[{"src", "dst"}].duplicate = 1.0;
+  obs::MetricsRegistry registry;  // outlives the bus, which deregisters from it
   MessageBus bus(scheduler, config);
-  obs::MetricsRegistry registry;
   bus.set_metrics(registry);
 
   std::vector<const std::byte*> seen;
